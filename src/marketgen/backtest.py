@@ -157,25 +157,37 @@ def quantile_of(dist: StatDistribution, value: float) -> float:
     return (less + 0.5 * equal) / len(v)
 
 
-def mc_distribution(series_source, n_reps: int, config: RiskParityConfig) -> dict:
-    """Backtest ``n_reps`` synthetic series and collect statistic distributions.
+def replications(series_source, n_reps: int, config: RiskParityConfig):
+    """Backtest ``n_reps`` synthetic series, yielding (strategy returns,
+    BacktestStats) in replication order.
 
     ``series_source`` maps a replication index to a SeriesFrame of asset
     returns; by convention it should consume RNG stream index = replication
-    index so replications are independent and reproducible.
+    index so replications are independent and reproducible.  A failing
+    replication's error keeps its class and gains the replication index.
     """
     if n_reps < 1:
         raise MarketGenError("n_reps must be >= 1")
-    samples = {name: np.empty(n_reps) for name in STATISTIC_NAMES}
     for rep in range(n_reps):
         try:
-            frame = series_source(rep)
-            _, stats = run_backtest(frame, config)
+            result = run_backtest(series_source(rep), config)
         except MarketGenError as exc:
-            raise MarketGenError(f"replication {rep} failed: {exc}") from exc
-        for name, value in stats.as_dict().items():
-            samples[name][rep] = value
-    return {name: StatDistribution(name, values) for name, values in samples.items()}
+            exc.args = (f"replication {rep} failed: {exc}",)
+            raise
+        yield result
+
+
+def stat_distributions(stats) -> dict:
+    """One StatDistribution per statistic name from a sequence of BacktestStats."""
+    return {name: StatDistribution(name, [getattr(s, name) for s in stats])
+            for name in STATISTIC_NAMES}
+
+
+def mc_distribution(series_source, n_reps: int, config: RiskParityConfig) -> dict:
+    """Backtest ``n_reps`` synthetic series (see ``replications``) and collect
+    statistic distributions."""
+    return stat_distributions(
+        [stats for _, stats in replications(series_source, n_reps, config)])
 
 
 def bootstrap_source(returns: SeriesFrame, T_out: int, master_seed: int):

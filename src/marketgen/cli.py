@@ -9,8 +9,8 @@ Five subcommands cover the full workflow:
   evaluate        fidelity metrics between a training and a synthetic CSV
 
 Everything is driven by a JSON config document plus a master seed; any
-command rerun with identical inputs and seed produces byte-identical
-artifacts.  Exit codes: 0 success, 2 usage or config error, 3 data error,
+command rerun with identical inputs and seed, at the same BLAS thread count,
+produces byte-identical artifacts.  Exit codes: 0 success, 2 usage or config error, 3 data error,
 4 numeric divergence.
 """
 
@@ -37,7 +37,7 @@ from .datagen import (
     sample_copula,
 )
 from .errors import DivergedError, MarketGenError, UsageError, VersionError
-from .frames import SeriesFrame, read_csv, write_csv
+from .frames import SeriesFrame, atomic_write, read_csv, write_csv
 from .persist import FORMAT_VERSION, GanModel, load_model, save_model
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ MODEL_PRESETS = {
 
 _SECTION_KEYS = {
     "top": {"format_version", "master_seed", "data", "preprocess", "model",
-            "generate", "backtest", "evaluate"},
+            "backtest"},
     "data": {"source", "preset", "n", "correlation", "marginals", "d", "phi",
              "corr", "T", "ewma_span", "scale", "path"},
     "preprocess": {"transforms", "epsilon", "post_scale"},
@@ -90,10 +90,8 @@ _SECTION_KEYS = {
               "n_critic", "gen_hidden", "critic_hidden", "n_t", "n_h",
               "critic_filters", "gen_channels", "kernel", "non_saturating",
               "gen_ema"},
-    "generate": {"n", "horizon", "gibbs_steps"},
     "backtest": {"vol_window", "target_vol", "rebalance_every", "n_reps",
                  "horizon", "trading_days_per_year"},
-    "evaluate": {"max_lag", "qq_points"},
 }
 
 
@@ -118,7 +116,7 @@ def load_config(path) -> dict:
     if version != FORMAT_VERSION:
         raise VersionError(f"unsupported config format_version {version!r}")
     _check_keys(cfg, "top")
-    for name in ("data", "preprocess", "model", "generate", "backtest", "evaluate"):
+    for name in ("data", "preprocess", "model", "backtest"):
         if name in cfg:
             if not isinstance(cfg[name], dict):
                 raise UsageError(f"{name} section must be an object")
@@ -436,20 +434,17 @@ def cmd_mc_backtest(args) -> int:
 
     stats_rows = []
     acf1 = []
-    for rep in range(reps):
-        frame = source(rep)
-        strat, stats = bt.run_backtest(frame, config)
-        stats_rows.append(stats.as_dict())
+    for strat, stats in bt.replications(source, reps, config):
+        stats_rows.append(stats)
         if len(strat) > 5:
             acf1.append(ev.acf(strat, 1).estimate[0])
-    dists = {name: bt.StatDistribution(name, [row[name] for row in stats_rows])
-             for name in bt.STATISTIC_NAMES}
+    dists = bt.stat_distributions(stats_rows)
 
     csv_path = f"{args.out}_distribution.csv"
     lines = [",".join(bt.STATISTIC_NAMES)]
-    for row in stats_rows:
-        lines.append(",".join(repr(float(row[name])) for name in bt.STATISTIC_NAMES))
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    for stats in stats_rows:
+        lines.append(",".join(repr(float(getattr(stats, name))) for name in bt.STATISTIC_NAMES))
+    atomic_write(csv_path, "\n".join(lines) + "\n")
 
     md = ["# Monte-Carlo backtest distributions", "",
           f"replications: {reps}, horizon: {horizon}, source: "
@@ -469,16 +464,9 @@ def cmd_mc_backtest(args) -> int:
         name = args.statistic
         q = bt.quantile_of(dists[name], args.real_value)
         md += ["", f"quantile of real backtest {name} = {args.real_value}: {q:.4f}"]
-    _atomic_write(f"{args.out}_report.md", "\n".join(md) + "\n")
+    atomic_write(f"{args.out}_report.md", "\n".join(md) + "\n")
     print(f"wrote {csv_path} and {args.out}_report.md")
     return 0
-
-
-def _atomic_write(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -495,18 +483,18 @@ def cmd_evaluate(args) -> int:
     lines = ["metric,column,training,synthetic"]
     for metric, col, rv, sv in rows:
         lines.append(f"{metric},{col},{float(rv)!r},{float(sv)!r}")
-    _atomic_write(f"{args.out}_metrics.csv", "\n".join(lines) + "\n")
-    _atomic_write(f"{args.out}_report.md", ev.comparison_markdown(real, synth, args.max_lag))
+    atomic_write(f"{args.out}_metrics.csv", "\n".join(lines) + "\n")
+    atomic_write(f"{args.out}_report.md", ev.comparison_markdown(real, synth, args.max_lag))
     for j, col in enumerate(real.columns):
         pts = ev.qq_points(real.data[:, j], synth.data[:, j], args.qq_points)
         qq_lines = ["training_quantile,synthetic_quantile"]
         qq_lines += [f"{float(a)!r},{float(b)!r}" for a, b in pts]
-        _atomic_write(f"{args.out}_qq_{col}.csv", "\n".join(qq_lines) + "\n")
+        atomic_write(f"{args.out}_qq_{col}.csv", "\n".join(qq_lines) + "\n")
         if real.n_rows > args.max_lag + 2:
             acf_r = ev.acf(real.data[:, j], args.max_lag)
             acf_lines = ["lag,acf"]
             acf_lines += [f"{int(k)},{float(v)!r}" for k, v in zip(acf_r.lags, acf_r.estimate)]
-            _atomic_write(f"{args.out}_acf_{col}.csv", "\n".join(acf_lines) + "\n")
+            atomic_write(f"{args.out}_acf_{col}.csv", "\n".join(acf_lines) + "\n")
     print(f"wrote evaluation artifacts with prefix {args.out}")
     return 0
 

@@ -122,11 +122,22 @@ def _read_csv_file(fh) -> SeriesFrame:
 
 def write_csv(frame: SeriesFrame, path) -> None:
     """Write a frame as CSV with deterministic number formatting."""
-    text = to_csv_text(frame)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    atomic_write(path, to_csv_text(frame))
+
+
+def atomic_write(path, text: str) -> None:
+    """Replace ``path`` by ``text`` in one rename: readers see the old file or
+    the complete new one.  Each call writes (and on failure removes) its own
+    temp file next to ``path``; the mode follows the umask."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def to_csv_text(frame: SeriesFrame) -> str:

@@ -3,23 +3,23 @@
 One human-readable JSON format with an explicit ``format_version`` covers
 transform specs, RBMs, layer stacks and GAN bundles.  Documents embed the
 fitted preprocessing chain so that generation from a loaded model is
-self-contained.  Writes are atomic (write to temp file, rename); loading
+self-contained.  Writes go through ``frames.atomic_write``; loading
 validates shapes and finiteness through the ordinary constructors.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import neuralnet as nn
 from .errors import InvalidValue, VersionError
+from .frames import atomic_write
 from .gan import ConditionSpec
 from .preprocess import TransformSpec
-from .rbm import RbmModel
+from .rbm import RBM_KINDS, RbmModel
 
 FORMAT_VERSION = 1
 
@@ -39,11 +39,7 @@ def _np(x, dtype=float):
 def save_document(doc: dict, path) -> None:
     doc = dict(doc)
     doc.setdefault("format_version", FORMAT_VERSION)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def load_document(path) -> dict:
@@ -220,7 +216,6 @@ def gan_from_doc(doc: dict):
 # top-level save / load
 # ---------------------------------------------------------------------------
 
-RBM_KINDS = ("bernoulli", "gaussian", "conditional")
 GAN_KINDS = ("gan", "wgan", "cdcwgan")
 
 

@@ -13,6 +13,10 @@ update theta <- theta - lr * grad therefore walks uphill in likelihood.  Its
 expectation for k -> infinity is the negative of ``exact_loglik_gradient``,
 which exposes the exact ascent gradient for small models by enumeration.
 
+One block Gibbs kernel runs every chain in ``GibbsWorkspace`` buffers:
+training reuses one workspace across ``cd_k_gradient`` batches, while
+``gibbs_chain`` (under ``sample`` and ``generate_series``) makes one per call.
+
 Trained models are immutable and shareable; every stochastic function takes
 an explicit RNG so independent runs can own independent streams.
 """
@@ -177,11 +181,8 @@ def dynamic_biases(model: RbmModel, c):
     if model.kind != "conditional":
         raise InvalidValue("dynamic_biases requires a conditional model")
     c, single = _as_batch(c, model.d * model.m, "c")
-    a = model.a + c @ model.Q
-    b = model.b + c @ model.P
-    if single:
-        return a[0], b[0]
-    return a, b
+    a, b = _effective_biases(model, c, len(c))
+    return (a[0], b[0]) if single else (a, b)
 
 
 def _effective_biases(model: RbmModel, c, batch_len: int):
@@ -232,52 +233,21 @@ def sample_v_given_h(model: RbmModel, h, rng, c=None):
     rng = rng_from(rng)
     h, single = _as_batch(h, model.n, "h")
     mean = visible_mean(model, h, c)
-    mean = mean if mean.ndim == 2 else mean[None, :]
     v = mean + model.sigma * rng.standard_normal(mean.shape)
     return v[0] if single else v
 
 
-def _sample_bernoulli(p, rng):
-    return (rng.random(p.shape) < p).astype(float)
-
-
-def gibbs_chain(model: RbmModel, v0, k: int, rng, c=None):
-    """Run k alternations h ~ P(h|v), v ~ P(v|h) of block Gibbs sampling.
-
-    Accepts a single visible vector or a batch of chains.  Returns the final
-    visible state, the final hidden state and P(h | final visible state),
-    which is what the contrastive-divergence estimate conditions on.
-    """
-    if k < 1:
-        raise MarketGenError("gibbs_chain needs k >= 1")
-    rng = rng_from(rng)
-    v, single = _as_batch(v0, model.m, "v0")
-    h = None
-    for _ in range(k):
-        p_h = prob_h_given_v(model, v, c)
-        h = _sample_bernoulli(p_h, rng)
-        if model.kind == "bernoulli":
-            p_v = prob_v_given_h(model, h)
-            v = _sample_bernoulli(p_v, rng)
-        else:
-            v = sample_v_given_h(model, h, rng, c)
-    p_h_final = prob_h_given_v(model, v, c)
-    if single:
-        return v[0], h[0], p_h_final
-    return v, h, p_h_final
-
-
 # ---------------------------------------------------------------------------
-# contrastive divergence
+# block Gibbs sampling and contrastive divergence
 # ---------------------------------------------------------------------------
 
-class CdWorkspace:
-    """Preallocated buffers for the CD hot loop.
+class GibbsWorkspace:
+    """Preallocated buffers for the block Gibbs loop.
 
     Mini-batch training runs hundreds of thousands of CD steps on arrays big
     enough that fresh temporaries would be served by mmap each call; reusing
     one workspace across batches removes that cost.  One workspace belongs to
-    one training loop (not thread-safe).
+    one loop (not thread-safe).
     """
 
     def __init__(self, max_batch: int, m: int, n: int):
@@ -299,15 +269,61 @@ def _hidden_probs_into(model, v, b_eff, s2, out, ws):
         np.divide(v, s2, out=ws.scaled[: len(v)])
         np.dot(ws.scaled[: len(v)], model.W, out=out)
     np.add(out, b_eff, out=out)
-    np.multiply(out, 0.5, out=out)
-    np.tanh(out, out=out)
-    np.add(out, 1.0, out=out)
-    np.multiply(out, 0.5, out=out)
+    sigmoid(out, out=out)
+
+
+def _gibbs_into(model, v0, k: int, rng, a_eff, b_eff, ws: GibbsWorkspace):
+    """The block Gibbs kernel: k alternations from the (N, m) batch v0.
+
+    Leaves P(h | v0) in ``ws.p0`` and returns (v_k, h_k, P(h | v_k)) as
+    views of the workspace; for k = 0 that is (v0, unset h, P(h | v0)).
+    """
+    N = len(v0)
+    s2 = None if model.kind == "bernoulli" else model.sigma ** 2
+    p0, p, u, h = ws.p0[:N], ws.p[:N], ws.u[:N], ws.h[:N]
+    vk, vis = ws.v[:N], ws.vm[:N]
+    _hidden_probs_into(model, v0, b_eff, s2, p0, ws)
+    v, p_cur = v0, p0
+    for _ in range(k):
+        rng.random(out=u)
+        np.less(u, p_cur, out=h)
+        np.dot(h, model.W.T, out=vis)
+        np.add(vis, a_eff, out=vis)
+        if s2 is None:
+            sigmoid(vis, out=vis)
+            rng.random(out=vk)
+            np.less(vk, vis, out=vk)
+        else:
+            rng.standard_normal(out=vk)
+            np.multiply(vk, model.sigma, out=vk)
+            np.add(vk, vis, out=vk)
+        _hidden_probs_into(model, vk, b_eff, s2, p, ws)
+        v, p_cur = vk, p
+    return v, h, p_cur
+
+
+def gibbs_chain(model: RbmModel, v0, k: int, rng, c=None):
+    """Run k alternations h ~ P(h|v), v ~ P(v|h) of block Gibbs sampling.
+
+    Accepts a single visible vector or a batch of chains.  Returns the final
+    visible state, the final hidden state and P(h | final visible state),
+    which is what the contrastive-divergence estimate conditions on.  Each
+    call runs in its own workspace, so the returned arrays are never reused.
+    """
+    if k < 1:
+        raise MarketGenError("gibbs_chain needs k >= 1")
+    rng = rng_from(rng)
+    v0, single = _as_batch(v0, model.m, "v0")
+    N = len(v0)
+    a_eff, b_eff = _effective_biases(model, c, N)
+    v, h, p = _gibbs_into(model, v0, k, rng, a_eff, b_eff,
+                          GibbsWorkspace(N, model.m, model.n))
+    return (v[0], h[0], p) if single else (v, h, p)
 
 
 def cd_k_gradient(model: RbmModel, batch, k: int, rng, conditions=None,
                   train_sigma: bool = False,
-                  workspace: CdWorkspace | None = None) -> CdGradient:
+                  workspace: GibbsWorkspace | None = None) -> CdGradient:
     """k-step contrastive-divergence gradient estimate, averaged over a batch.
 
     Descent orientation: each entry is the reconstruction statistic minus the
@@ -337,58 +353,28 @@ def cd_k_gradient(model: RbmModel, batch, k: int, rng, conditions=None,
             raise ShapeError("conditions batch length does not match")
     rng = rng_from(rng)
     if workspace is None or workspace.max_batch < N:
-        workspace = CdWorkspace(N, model.m, model.n)
-    ws = workspace
-
-    bernoulli = model.kind == "bernoulli"
-    s2 = None if bernoulli else model.sigma ** 2
+        workspace = GibbsWorkspace(N, model.m, model.n)
     a_eff, b_eff = _effective_biases(model, c, N)
-
-    p0, p, u, h = ws.p0[:N], ws.p[:N], ws.u[:N], ws.h[:N]
-    vk, vis_tmp = ws.v[:N], ws.vm[:N]
-
-    # block Gibbs chain; P(h | v) at the start doubles as the data term
-    _hidden_probs_into(model, batch, b_eff, s2, p0, ws)
-    np.copyto(p, p0)
-    v_cur = batch
-    for _ in range(k):
-        rng.random(out=u)
-        np.less(u, p, out=h)
-        if bernoulli:
-            np.dot(h, model.W.T, out=vis_tmp)
-            np.add(vis_tmp, a_eff, out=vis_tmp)
-            np.multiply(vis_tmp, 0.5, out=vis_tmp)
-            np.tanh(vis_tmp, out=vis_tmp)
-            np.add(vis_tmp, 1.0, out=vis_tmp)
-            np.multiply(vis_tmp, 0.5, out=vis_tmp)
-            rng.random(out=vk)
-            np.less(vk, vis_tmp, out=vk)
-        else:
-            np.dot(h, model.W.T, out=vis_tmp)
-            np.add(vis_tmp, a_eff, out=vis_tmp)
-            rng.standard_normal(out=vk)
-            np.multiply(vk, model.sigma, out=vk)
-            np.add(vk, vis_tmp, out=vk)
-        _hidden_probs_into(model, vk, b_eff, s2, p, ws)
-        v_cur = vk
-    pk = p
+    # P(h | v) at the start of the chain, left in p0, doubles as the data term
+    v_cur, _, pk = _gibbs_into(model, batch, k, rng, a_eff, b_eff, workspace)
+    p0, u, vis_tmp = workspace.p0[:N], workspace.u[:N], workspace.vm[:N]
 
     np.subtract(pk, p0, out=u)  # u = reconstruction minus data hidden probs
     db = u.mean(axis=0)
-    if bernoulli:
-        np.subtract(v_cur, batch, out=vis_tmp)
+    np.subtract(v_cur, batch, out=vis_tmp)
+    if model.kind == "bernoulli":
         da = vis_tmp.mean(axis=0)
         dW = (v_cur.T @ pk - batch.T @ p0) / N
         return CdGradient(da, db, dW)
 
-    np.subtract(v_cur, batch, out=vis_tmp)
+    s2 = model.sigma ** 2
     np.divide(vis_tmp, s2, out=vis_tmp)  # (v^k - v^0) / sigma^2
     da = vis_tmp.mean(axis=0)
     dQ = dP = dsigma = None
     if model.kind == "conditional":
         dQ = c.T @ vis_tmp / N
         dP = c.T @ u / N
-    scaled = ws.scaled[:N]
+    scaled = workspace.scaled[:N]
     np.divide(v_cur, s2, out=scaled)
     dW = scaled.T @ pk
     np.divide(batch, s2, out=scaled)
@@ -536,7 +522,7 @@ def train(model: RbmModel, data, config: TrainConfig, train_sigma: bool = False)
     trace = []
     N = data.shape[0]
     lr = config.learning_rate
-    ws = CdWorkspace(min(config.batch_size, N), model.m, model.n)
+    ws = GibbsWorkspace(min(config.batch_size, N), model.m, model.n)
     for epoch in range(config.epochs):
         order = rng.permutation(N)
         recon_err = None

@@ -3,7 +3,7 @@ import pytest
 
 from marketgen import backtest as bt
 from marketgen.datagen import RngStream, ar1_ewma_process
-from marketgen.errors import ConstantColumn, EmptyInput, MarketGenError, TooFewRows
+from marketgen.errors import ConstantColumn, EmptyInput, TooFewRows
 from marketgen.evaluate import acf
 from marketgen.frames import SeriesFrame, frame_from_columns
 
@@ -182,7 +182,7 @@ def test_mc_distribution_failure_names_replication():
             return _returns(T=10)  # too short
         return _returns(T=200, seed=rep)
 
-    with pytest.raises(MarketGenError, match="replication 3"):
+    with pytest.raises(TooFewRows, match="replication 3 failed"):  # class kept
         bt.mc_distribution(source, 5, CFG)
 
 

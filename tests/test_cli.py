@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from marketgen import backtest as bt
 from marketgen.cli import main
 from marketgen.frames import read_csv, write_csv
 from marketgen.datagen import RngStream, ar1_ewma_process
@@ -60,9 +61,16 @@ def test_simulate_ar1_from_config(tmp_path):
     assert read_csv(out).n_rows == 300
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.json", {"data": {"sourc": "copula"}})
     assert run(["simulate-data", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    # sections that no command reads are rejected, not silently ignored
+    for section in ("generate", "evaluate"):
+        cfg = _write_config(tmp_path / "c.json", {"data": {"preset": "copula-paper"},
+                                                  section: {}})
+        capsys.readouterr()
+        assert run(["simulate-data", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert section in capsys.readouterr().err
 
 
 def test_unknown_preset_rejected(tmp_path):
@@ -230,6 +238,31 @@ def test_mc_backtest_single_rep(tmp_path):
                 "--seed", "1", "--out", str(tmp_path / "one")]) == 0
     lines = (tmp_path / "one_distribution.csv").read_text().splitlines()
     assert len(lines) == 2
+
+
+def test_mc_backtest_bootstrap_matches_library(tmp_path):
+    data = _ar1_csv(tmp_path)
+    cfg = _write_config(tmp_path / "bt.json", {"backtest": {"vol_window": 30}})
+    assert run(["mc-backtest", "--bootstrap", str(data), "--config", cfg,
+                "--reps", "6", "--seed", "4", "--out", str(tmp_path / "mc")]) == 0
+    lines = (tmp_path / "mc_distribution.csv").read_text().splitlines()
+    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    dists = bt.mc_distribution(bt.bootstrap_source(read_csv(data), 400, 4), 6,
+                               bt.RiskParityConfig(vol_window=30))
+    for j, name in enumerate(lines[0].split(",")):
+        np.testing.assert_array_equal(np.sort(table[:, j]), dists[name].values)
+
+
+def test_mc_backtest_conditional_model_needs_seed_window(tmp_path, copula_csv, capsys):
+    code, model_path = _train(
+        tmp_path, copula_csv,
+        {"kind": "conditional_rbm", "hidden": 6, "lags": 3, "epochs": 1})
+    assert code == 0
+    capsys.readouterr()
+    assert run(["mc-backtest", "--model", str(model_path), "--horizon", "80",
+                "--reps", "2", "--gibbs-steps", "2", "--out", str(tmp_path / "mc")]) == 2
+    err = capsys.readouterr().err
+    assert "replication 0 failed" in err and "--seed-window" in err
 
 
 # ---------------------------------------------------------------------------

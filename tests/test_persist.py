@@ -116,6 +116,22 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
+def test_save_leaves_foreign_temp_name_alone(tmp_path):
+    model = rbm.init_rbm("bernoulli", 2, 2, rng=RngStream(11, 0))
+    path = tmp_path / "m.json"
+    (tmp_path / "m.json.tmp").mkdir()
+    persist.save_model(path, model)
+    assert persist.load_model(path)[0].kind == "bernoulli"
+    assert (tmp_path / "m.json.tmp").is_dir()
+
+
+def test_failed_save_leaves_no_temp(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(TypeError):
+        persist.save_document({"kind": "rbm", "bad": object()}, path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_save_is_deterministic(tmp_path):
     model = rbm.init_rbm("gaussian", 2, 3, rng=RngStream(12, 0))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -213,11 +213,17 @@ def test_gibbs_deterministic_saturated_model():
 
 def test_gibbs_same_seed_identical():
     model = _random_bernoulli(3, 3, 8)
-    v1, h1, p1 = rbm.gibbs_chain(model, np.zeros(3), 25, RngStream(1, 0))
-    v2, h2, p2 = rbm.gibbs_chain(model, np.zeros(3), 25, RngStream(1, 0))
-    np.testing.assert_array_equal(v1, v2)
-    np.testing.assert_array_equal(h1, h2)
-    np.testing.assert_array_equal(p1, p2)
+    for v0 in (np.zeros(3), np.zeros((6, 3))):
+        v1, h1, p1 = rbm.gibbs_chain(model, v0, 25, RngStream(1, 0))
+        kept = v1.copy()
+        v2, h2, p2 = rbm.gibbs_chain(model, v0, 25, RngStream(1, 0))
+        np.testing.assert_array_equal(v1, v2)
+        np.testing.assert_array_equal(h1, h2)
+        np.testing.assert_array_equal(p1, p2)
+        # a later call must not write into the arrays an earlier call returned
+        later = rbm.gibbs_chain(model, v0, 25, RngStream(2, 0))
+        np.testing.assert_array_equal(v1, kept)
+        assert not any(np.shares_memory(a, b) for a, b in zip((v1, h1, p1), later))
 
 
 def test_gibbs_equilibrium_total_variation():
