@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import RngStream, rng_from
-from .errors import ConstantColumn, EmptyInput, MarketGenError, TooFewRows
+from .errors import ConstantColumn, EmptyInput, MarketGenError, TooFewRows, UsageError
 from .frames import SeriesFrame
 
 TRADING_DAYS_PER_YEAR = 252
@@ -28,11 +28,11 @@ class RiskParityConfig:
 
     def __post_init__(self):
         if self.vol_window < 2:
-            raise MarketGenError("vol_window must be >= 2")
+            raise UsageError("vol_window must be >= 2")
         if self.target_vol <= 0:
-            raise MarketGenError("target_vol must be > 0")
+            raise UsageError("target_vol must be > 0")
         if self.rebalance_every < 1:
-            raise MarketGenError("rebalance_every must be >= 1")
+            raise UsageError("rebalance_every must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,10 @@ class InvalidValue(MarketGenError):
     """Non-finite or otherwise unusable numeric input."""
 
 
+class NonFinite(InvalidValue):
+    """NaN or infinite entries where finite numbers are required."""
+
+
 class DomainError(MarketGenError):
     """Argument outside the mathematical domain of the operation."""
 
@@ -50,13 +54,14 @@ class NotPositiveDefinite(MarketGenError):
 
 
 class DivergedError(MarketGenError):
-    """Training produced a non-finite parameter or loss.
+    """Training or generation produced a non-finite parameter, loss or value.
 
-    ``step`` records the epoch or iteration at which divergence was detected.
+    ``step`` records the epoch or iteration at which divergence was detected,
+    if the failing computation counts any.
     """
 
-    def __init__(self, message: str, step: int):
-        super().__init__(f"{message} (step {step})")
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message if step is None else f"{message} (step {step})")
         self.step = step
 
 

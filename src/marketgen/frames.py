@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValue, ShapeError
+from .errors import InvalidValue, NonFinite, ShapeError
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class SeriesFrame:
                 f"{len(self.columns)} column names for {data.shape[1]} columns"
             )
         if not np.all(np.isfinite(data)):
-            raise InvalidValue("non-finite entries in frame data")
+            raise NonFinite("non-finite entries in frame data")
         data = data.copy()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)

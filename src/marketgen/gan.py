@@ -25,9 +25,9 @@ from .errors import (
     DivergedError,
     DomainError,
     InvalidValue,
-    MarketGenError,
     ShapeError,
     TooFewRows,
+    UsageError,
 )
 from .frames import SeriesFrame
 
@@ -54,17 +54,21 @@ class GanConfig:
 
     def __post_init__(self):
         if self.mode not in GAN_MODES:
-            raise MarketGenError(f"unknown GAN mode {self.mode!r}")
+            raise UsageError(f"unknown GAN mode {self.mode!r}")
         if self.mode == "wgan_gp" and self.lambda_gp <= 0:
-            raise MarketGenError("lambda_gp must be > 0 in wgan_gp mode")
+            raise UsageError("lambda_gp must be > 0 in wgan_gp mode")
         if self.mode == "wgan_clip" and self.clip_c <= 0:
-            raise MarketGenError("clip_c must be > 0 in wgan_clip mode")
+            raise UsageError("clip_c must be > 0 in wgan_clip mode")
         if self.n_critic < 1:
-            raise MarketGenError("n_critic must be >= 1")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise MarketGenError("invalid learning_rate / batch_size / epochs")
+            raise UsageError("n_critic must be >= 1")
+        if self.learning_rate <= 0:
+            raise UsageError("learning_rate must be > 0")
+        if self.batch_size < 1:
+            raise UsageError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise UsageError("epochs must be >= 0")
         if not 0.0 <= self.gen_ema < 1.0:
-            raise MarketGenError("gen_ema must be in [0, 1)")
+            raise UsageError("gen_ema must be in [0, 1)")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ One human-readable JSON format with an explicit ``format_version`` covers
 transform specs, RBMs, layer stacks and GAN bundles.  Documents embed the
 fitted preprocessing chain so that generation from a loaded model is
 self-contained.  Writes go through ``frames.atomic_write``; loading
-validates shapes and finiteness through the ordinary constructors.
+validates shapes and finiteness through the ordinary constructors, and
+``load_model`` turns a document that is not JSON, not an object or lacks or
+mistypes a field into ``InvalidValue``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,12 @@ def save_document(doc: dict, path) -> None:
 
 def load_document(path) -> dict:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # invalid JSON or text encoding
+            raise InvalidValue(f"{path} is not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidValue(f"{path} holds a JSON {type(doc).__name__}, not an object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(f"unsupported format_version {version!r}")
@@ -234,7 +241,13 @@ def load_model(path):
     doc = load_document(path)
     kind = doc.get("kind")
     if kind in RBM_KINDS:
-        return rbm_from_doc(doc)
-    if kind in GAN_KINDS:
-        return gan_from_doc(doc)
-    raise InvalidValue(f"unknown model kind {kind!r}")
+        from_doc = rbm_from_doc
+    elif kind in GAN_KINDS:
+        from_doc = gan_from_doc
+    else:
+        raise InvalidValue(f"unknown model kind {kind!r}")
+    try:
+        return from_doc(doc)
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InvalidValue(f"malformed model document {path}: "
+                           f"{type(exc).__name__} {exc}") from None

@@ -37,6 +37,7 @@ from .errors import (
     MarketGenError,
     ShapeError,
     TooLarge,
+    UsageError,
 )
 from .frames import SeriesFrame
 from .mathutil import sigmoid
@@ -95,13 +96,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise MarketGenError("learning_rate must be > 0")
+            raise UsageError("learning_rate must be > 0")
         if self.batch_size < 1:
-            raise MarketGenError("batch_size must be >= 1")
+            raise UsageError("batch_size must be >= 1")
         if self.cd_k < 1:
-            raise MarketGenError("cd_k must be >= 1")
+            raise UsageError("cd_k must be >= 1")
         if self.epochs < 0:
-            raise MarketGenError("epochs must be >= 0")
+            raise UsageError("epochs must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -307,8 +308,9 @@ def gibbs_chain(model: RbmModel, v0, k: int, rng, c=None):
 
     Accepts a single visible vector or a batch of chains.  Returns the final
     visible state, the final hidden state and P(h | final visible state),
-    which is what the contrastive-divergence estimate conditions on.  Each
-    call runs in its own workspace, so the returned arrays are never reused.
+    which is what the contrastive-divergence estimate conditions on; all
+    three are 1-D for a single vector.  Each call runs in its own workspace,
+    so the returned arrays are never reused.
     """
     if k < 1:
         raise MarketGenError("gibbs_chain needs k >= 1")
@@ -318,7 +320,7 @@ def gibbs_chain(model: RbmModel, v0, k: int, rng, c=None):
     a_eff, b_eff = _effective_biases(model, c, N)
     v, h, p = _gibbs_into(model, v0, k, rng, a_eff, b_eff,
                           GibbsWorkspace(N, model.m, model.n))
-    return (v[0], h[0], p) if single else (v, h, p)
+    return (v[0], h[0], p[0]) if single else (v, h, p)
 
 
 def cd_k_gradient(model: RbmModel, batch, k: int, rng, conditions=None,

@@ -334,3 +334,140 @@ def test_bad_csv_is_data_error(tmp_path):
     bad.write_text("a\nNaN\n")
     assert run(["train", "--config", cfg, "--data", str(bad),
                 "--out", str(tmp_path / "m.json")]) == 3
+
+
+def test_integral_float_counts_accepted(tmp_path, copula_csv):
+    for name, epochs in (("int.json", 2), ("float.json", 2.0)):
+        cfg = _write_config(tmp_path / "c.json", {"model": {"kind": "gaussian_rbm",
+                                                            "hidden": 4, "epochs": epochs}})
+        assert run(["train", "--config", cfg, "--data", str(copula_csv),
+                    "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "int.json").read_bytes() == (tmp_path / "float.json").read_bytes()
+
+
+def test_horizon_flag_overrides_config(tmp_path):
+    data = _ar1_csv(tmp_path)
+    cfg = _write_config(tmp_path / "bt.json", {"backtest": {"vol_window": 30, "horizon": 90}})
+    assert run(["mc-backtest", "--bootstrap", str(data), "--config", cfg, "--horizon", "80",
+                "--reps", "2", "--out", str(tmp_path / "mc")]) == 0
+    assert "horizon: 80," in (tmp_path / "mc_report.md").read_text()
+
+
+# Every bad input exits 2 (usage or config), 3 (data) or 4 (divergence) and
+# never with a traceback.  A case runs argv, whose {data}, {cfg}, {model} and
+# {out} stand for the copula CSV, the case's config, an edited copy of a
+# freshly trained Gaussian-RBM document and an output path; it expects the
+# exit code and, for config and flag cases, stderr naming the offending key.
+
+_COMMANDS = {
+    "simulate-data": ["simulate-data", "--config", "{cfg}", "--out", "{out}"],
+    "train": ["train", "--config", "{cfg}", "--data", "{data}", "--out", "{out}"],
+    "mc-backtest": ["mc-backtest", "--bootstrap", "{data}", "--config", "{cfg}",
+                    "--reps", "2", "--out", "{out}"],
+}
+
+
+def _config_case(name, command, config, key):
+    return pytest.param(_COMMANDS[command], config, None, 2, key, id=f"config-{name}")
+
+
+def _flag_case(name, argv, key):
+    return pytest.param(argv, None, None, 2, key, id=f"flag-{name}")
+
+
+def _model_case(name, edit, code):
+    argv = ["generate", "--model", "{model}", "--n", "3", "--gibbs-steps", "3", "--out", "{out}"]
+    # numpy warns about the overflow on the way to the expected divergence
+    return pytest.param(argv, None, edit, code, None, id=f"model-{name}",
+                        marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+
+
+def _without_m(doc):
+    return {k: v for k, v in doc.items() if k != "m"}
+
+
+def _overflowing(doc):
+    m, n = doc["m"], doc["n"]
+    return {**doc, "W": [[1e300] * n] * m, "a": [1e308] * m}
+
+
+AR1 = {"source": "ar1", "T": 50}
+RBM = {"kind": "gaussian_rbm"}
+WGAN = {"kind": "wgan", "epochs": 0}
+MIXTURE = {"kind": "gaussian_mixture", "mus": [0.0, 1.0], "sigmas": [1.0, 1.0]}
+EVALUATE = ["evaluate", "--real", "{data}", "--synth", "{data}", "--out", "{out}"]
+
+BAD_INPUTS = [
+    _config_case("epochs-abc", "train", {"model": {**RBM, "epochs": "abc"}}, "epochs"),
+    _config_case("master-seed-x", "simulate-data", {"master_seed": "x", "data": AR1},
+                 "master_seed"),
+    _config_case("batch-size-null", "train", {"model": {**RBM, "batch_size": None}},
+                 "batch_size"),
+    _config_case("gen-hidden-ab", "train", {"model": {**WGAN, "gen_hidden": "ab"}},
+                 "gen_hidden"),
+    _config_case("vol-window-a", "mc-backtest", {"backtest": {"vol_window": "a"}},
+                 "vol_window"),
+    _config_case("ar1-d-x", "simulate-data", {"data": {**AR1, "d": "x"}}, "data.d"),
+    _config_case("copula-n-negative", "simulate-data", {"data": {"source": "copula", "n": -5}},
+                 "data.n"),
+    _config_case("mixture-without-weights", "simulate-data",
+                 {"data": {"source": "copula", "n": 5, "correlation": [[1.0]],
+                           "marginals": [MIXTURE]}}, "weights"),
+    _config_case("marginals-without-correlation", "simulate-data",
+                 {"data": {"source": "copula", "n": 5, "marginals": [{"kind": "normal"}]}},
+                 "correlation"),
+    _config_case("learning-rate-negative", "train", {"model": {**RBM, "learning_rate": -1}},
+                 "learning_rate"),
+    _config_case("mode-bogus", "train", {"model": {**WGAN, "mode": "bogus"}}, "mode"),
+    _config_case("transform-nope", "train",
+                 {"model": RBM, "preprocess": {"transforms": ["nope"]}}, "transforms"),
+    _config_case("n-t-zero", "train", {"model": {"kind": "cdcwgan", "epochs": 0, "n_t": 0}},
+                 "n_t"),
+    _config_case("vol-window-one", "mc-backtest", {"backtest": {"vol_window": 1}},
+                 "vol_window"),
+    _config_case("hidden-zero", "train", {"model": {**RBM, "hidden": 0}}, "hidden"),
+    _config_case("epochs-fraction", "train", {"model": {**RBM, "epochs": 1.7}}, "epochs"),
+    _config_case("non-saturating-string", "train",
+                 {"model": {"kind": "gan", "epochs": 0, "non_saturating": "false"}},
+                 "non_saturating"),
+    _flag_case("reps-zero", ["mc-backtest", "--bootstrap", "{data}", "--reps", "0",
+                             "--out", "{out}"], "n_reps"),
+    _flag_case("horizon-zero", ["mc-backtest", "--bootstrap", "{data}", "--horizon", "0",
+                                "--out", "{out}"], "horizon"),
+    _flag_case("n-negative", ["simulate-data", "--preset", "copula-paper", "--n", "-1",
+                              "--out", "{out}"], "data.n"),
+    _flag_case("seed-fraction", ["simulate-data", "--preset", "copula-paper", "--seed", "1.5",
+                                 "--out", "{out}"], "master_seed"),
+    _flag_case("gibbs-steps-negative", ["generate", "--model", "{model}", "--gibbs-steps", "-1",
+                                        "--out", "{out}"], "--gibbs-steps"),
+    _flag_case("qq-points-one", EVALUATE + ["--qq-points", "1"], "--qq-points"),
+    _flag_case("max-lag-negative", EVALUATE + ["--max-lag", "-1"], "--max-lag"),
+    _model_case("not-json", lambda doc: "{not json", 3),
+    _model_case("json-list", lambda doc: [1, 2], 3),
+    _model_case("without-m", _without_m, 3),
+    _model_case("format-version-2", lambda doc: {**doc, "format_version": 2}, 2),
+    _model_case("overflowing", _overflowing, 4),
+]
+
+
+@pytest.mark.parametrize("argv, config, edit, code, key", BAD_INPUTS)
+def test_bad_input_exit_code(tmp_path, copula_csv, capsys, argv, config, edit, code, key):
+    paths = {"data": copula_csv, "cfg": tmp_path / "c.json", "model": tmp_path / "bad.json",
+             "out": tmp_path / "out"}
+    if config is not None:
+        _write_config(paths["cfg"], config)
+    if edit is not None:
+        _, model_path = _train(tmp_path, copula_csv,
+                               {"kind": "gaussian_rbm", "hidden": 4, "epochs": 0})
+        doc = edit(json.loads(model_path.read_text()))
+        paths["model"].write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    capsys.readouterr()
+    try:
+        got = run([arg.format(**paths) for arg in argv])
+    except SystemExit as exc:  # argparse rejected a flag
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code, err
+    assert "Traceback" not in err
+    if key is not None:
+        assert key in err

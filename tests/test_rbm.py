@@ -207,6 +207,8 @@ def test_gibbs_deterministic_saturated_model():
     model = rbm.RbmModel("bernoulli", 2, 2, np.full(2, 50.0), np.full(2, 50.0),
                          np.zeros((2, 2)))
     v, h, p = rbm.gibbs_chain(model, np.zeros(2), 1, RngStream(0, 0))
+    # a single vector in, single vectors out
+    assert v.shape == (2,) and h.shape == (2,) and p.shape == (2,)
     assert np.all(v == 1.0) and np.all(h == 1.0)
     np.testing.assert_allclose(p, 1.0, atol=1e-12)
 
