@@ -40,6 +40,8 @@ class Activation:
         if self.kind == "identity":
             return z
         if self.kind == "leaky_relu":
+            if 0.0 < self.alpha <= 1.0:  # same values, without np.where's slow select
+                return np.maximum(z, self.alpha * z)
             return np.where(z >= 0, z, self.alpha * z)
         if self.kind == "sigmoid":
             return sigmoid(z)
@@ -51,6 +53,8 @@ class Activation:
         if self.kind == "identity":
             return np.ones_like(z)
         if self.kind == "leaky_relu":
+            if 0.0 < self.alpha <= 1.0:
+                return np.maximum(z >= 0, self.alpha)
             return np.where(z >= 0, 1.0, self.alpha)
         if self.kind == "sigmoid":
             s = sigmoid(z)
@@ -141,6 +145,14 @@ class Dense:
         return [self.W, self.b]
 
 
+def _pad_time(x, p):
+    """Zero-pad the time axis of (N, length, channels) input by p at each end
+    (what np.pad does, without its per-call overhead)."""
+    x_pad = np.zeros((x.shape[0], x.shape[1] + 2 * p, x.shape[2]), dtype=x.dtype)
+    x_pad[:, p:p + x.shape[1]] = x
+    return x_pad
+
+
 def _conv_windows(x_pad, n_k, stride, out_len):
     wins = sliding_window_view(x_pad, n_k, axis=1)  # (N, Lp-n_k+1, C, n_k)
     wins = wins[:, :: stride][:, :out_len]
@@ -162,7 +174,7 @@ class Conv1d:
             raise ShapeError(f"conv1d expects (N, L, {self.W.shape[1]}), got {x.shape}")
         n_k = self.W.shape[0]
         out_len = conv1d_out_len(x.shape[1], n_k, self.padding, self.stride)
-        x_pad = np.pad(x, ((0, 0), (self.padding, self.padding), (0, 0)))
+        x_pad = _pad_time(x, self.padding)
         wins = _conv_windows(x_pad, n_k, self.stride, out_len)
         N = x.shape[0]
         z = wins.reshape(N * out_len, -1) @ self.W.reshape(-1, self.W.shape[2])
@@ -172,7 +184,7 @@ class Conv1d:
     def weight_grads(self, x_in, dz):
         n_k = self.W.shape[0]
         out_len = dz.shape[1]
-        x_pad = np.pad(x_in, ((0, 0), (self.padding, self.padding), (0, 0)))
+        x_pad = _pad_time(x_in, self.padding)
         wins = _conv_windows(x_pad, n_k, self.stride, out_len)
         dW = wins.reshape(-1, n_k * self.W.shape[1]).T @ dz.reshape(-1, dz.shape[2])
         return dW.reshape(self.W.shape), dz.sum(axis=(0, 1))
