@@ -11,9 +11,9 @@ Five subcommands cover the full workflow:
 Everything is driven by a JSON config document plus a master seed; any
 command rerun with identical inputs and seed, at the same BLAS thread count,
 produces byte-identical artifacts.  ``CONFIG`` lists every config key once,
-with its type, range and the CLI's default; ``load_config`` checks a whole
-config against it, and argparse checks count flags the same way, before any
-work starts.  Exit codes: 0 success; 2 usage or config error, including an
+with its type, its range unless the library checks it, and the CLI's
+default; ``load_config`` checks a whole config against it, and argparse
+checks count flags the same way, before any work starts.  Exit codes: 0 success; 2 usage or config error, including an
 unknown key and a mistyped or out-of-range value or flag; 3 data error,
 including an unreadable CSV or model file; 4 numeric divergence, in training
 or as non-finite generated values.
@@ -220,24 +220,21 @@ def _one_of(*names):
 
 _POSITIVE = (lambda x: x > 0), "> 0"
 _SQUARE = (lambda rows: all(len(row) == len(rows) for row in rows)), "a square matrix"
-_MARGINAL = ((lambda m: "kind" in m and (m["kind"] != "gaussian_mixture"
-                                         or {"weights", "mus", "sigmas"} <= set(m))),
-             "an object with a kind; a gaussian_mixture also needs weights, mus and sigmas")
 INT, FLOAT, COUNT = Key(int), Key(float), Key(int, _min(1))
 FLOATS, WIDTHS = Key(list, item=FLOAT), Key(list, item=COUNT)
 
-MARGINAL = {"kind": Key(str, _one_of("normal", "student_t", "gaussian_mixture")),
-            "mu": FLOAT, "sigma": Key(float, _POSITIVE),
-            "nu": Key(float, ((lambda x: x > 2), "> 2")), "weights": FLOATS, "mus": FLOATS,
-            "sigmas": Key(list, item=Key(float, _POSITIVE))}
+# datagen.MarginalSpec checks the kinds and ranges
+MARGINAL = {"kind": Key(str), "mu": FLOAT, "sigma": FLOAT, "nu": FLOAT, "weights": FLOATS,
+            "mus": FLOATS, "sigmas": FLOATS}
 DATA = {
     "source": Key(str, _one_of(*DATA_SOURCES)), "preset": Key(str, _one_of(*DATA_PRESETS)),
     "path": Key(str),  # csv
     # copula: the benchmark copula unless correlation and marginals are set
     "n": Key(int, _min(0), default=10000), "correlation": Key(list, _SQUARE, item=FLOATS),
-    "marginals": Key(list, item=Key(dict, _MARGINAL, fields=MARGINAL)),
+    "marginals": Key(list, item=Key(dict, ((lambda m: "kind" in m), "an object with a kind"),
+                                    fields=MARGINAL)),
     "d": Key(int, _min(1), default=2), "T": Key(int, _min(0), default=5000),  # ar1
-    "phi": Key(float, ((lambda x: -1 < x < 1), "in (-1, 1)"), default=0.5),
+    "phi": Key(float, default=0.5),  # ar1_ewma_process checks |phi| < 1
     "corr": Key(list, _SQUARE, default=lambda data: np.eye(_get(data, DATA, "d")), item=FLOATS),
     "ewma_span": COUNT, "scale": FLOAT,
 }

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, ndtr, ndtri
 
-from .errors import DomainError, InvalidValue, NotPositiveDefinite, ShapeError
+from .errors import DomainError, NotPositiveDefinite, ShapeError, UsageError
 from .frames import SeriesFrame
 from .preprocess import ewma_prices, prices_from_returns, returns_from_prices
 
@@ -70,20 +70,20 @@ class MarginalSpec:
     def __post_init__(self):
         if self.kind == "normal":
             if self.sigma <= 0:
-                raise DomainError("normal marginal needs sigma > 0")
+                raise UsageError("normal marginal needs sigma > 0")
         elif self.kind == "student_t":
             if self.nu <= 2:
-                raise DomainError("student_t marginal needs nu > 2")
+                raise UsageError("student_t marginal needs nu > 2")
         elif self.kind == "gaussian_mixture":
             w = np.asarray(self.weights, dtype=float)
             if len(w) == 0 or len(w) != len(self.mus) or len(w) != len(self.sigmas):
-                raise ShapeError("mixture weights/mus/sigmas must have equal length")
+                raise UsageError("mixture weights/mus/sigmas must have equal length")
             if abs(w.sum() - 1.0) > 1e-9 or np.any(w < 0):
-                raise DomainError("mixture weights must be nonnegative and sum to 1")
+                raise UsageError("mixture weights must be nonnegative and sum to 1")
             if any(s <= 0 for s in self.sigmas):
-                raise DomainError("mixture component sigmas must be > 0")
+                raise UsageError("mixture component sigmas must be > 0")
         else:
-            raise InvalidValue(f"unknown marginal kind {self.kind!r}")
+            raise UsageError(f"unknown marginal kind {self.kind!r}")
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -229,7 +229,7 @@ def ar1_ewma_process(
     ``ewma_span`` 1 returns the raw AR(1) series.
     """
     if not abs(phi) < 1:
-        raise DomainError("ar1_ewma_process requires |phi| < 1")
+        raise UsageError("ar1_ewma_process requires |phi| < 1")
     corr = np.asarray(corr, dtype=float)
     if corr.shape != (d, d):
         raise ShapeError(f"corr must be {d}x{d}")

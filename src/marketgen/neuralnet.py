@@ -36,13 +36,15 @@ class Activation:
     kind: str
     alpha: float = 0.01
 
+    def __post_init__(self):
+        if self.kind == "leaky_relu" and not 0.0 < self.alpha <= 1.0:
+            raise InvalidValue(f"leaky_relu needs alpha in (0, 1], got {self.alpha!r}")
+
     def apply(self, z):
         if self.kind == "identity":
             return z
         if self.kind == "leaky_relu":
-            if 0.0 < self.alpha <= 1.0:  # same values, without np.where's slow select
-                return np.maximum(z, self.alpha * z)
-            return np.where(z >= 0, z, self.alpha * z)
+            return np.maximum(z, self.alpha * z)  # as alpha <= 1
         if self.kind == "sigmoid":
             return sigmoid(z)
         if self.kind == "tanh":
@@ -53,9 +55,7 @@ class Activation:
         if self.kind == "identity":
             return np.ones_like(z)
         if self.kind == "leaky_relu":
-            if 0.0 < self.alpha <= 1.0:
-                return np.maximum(z >= 0, self.alpha)
-            return np.where(z >= 0, 1.0, self.alpha)
+            return np.maximum(z >= 0, self.alpha)  # 1 where z >= 0, as alpha > 0
         if self.kind == "sigmoid":
             s = sigmoid(z)
             return s * (1.0 - s)

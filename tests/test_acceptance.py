@@ -12,6 +12,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
@@ -36,30 +37,59 @@ def _report(number: int, passed: bool, detail: str = ""):
     assert passed, f"criterion {number} failed: {detail}"
 
 
-# a study still running after this many seconds fails its test
+# a study not finished this many seconds after the studies started fails its
+# test, and the worker processes are stopped
 STUDY_TIMEOUT_S = 3600
+
+
+def _stop_workers(pool):
+    """Cancel what has not started and end the running studies, so a hung one
+    cannot hold up the session (ProcessPoolExecutor offers no public way to
+    end its workers before Python 3.14)."""
+    workers = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in workers:
+        process.terminate()
 
 
 @pytest.fixture(scope="module")
 def studies(request):
-    """Futures of the desk-scale studies behind criteria 3, 4 and 5 (CDCWGAN).
+    """``result(study)`` for the desk-scale studies behind criteria 3, 4 and 5
+    (CDCWGAN).
 
     Each study trains a model for minutes and depends only on its own seeds.
     The selected ones start together, longest first, in two worker processes
     with BLAS pinned to one thread, so their numbers do not depend on the
     machine's core count; the tests then check what their studies return.
+    ``result`` waits at most until ``STUDY_TIMEOUT_S`` after the studies
+    started, in whatever order the tests ask.
     """
     selected = {item.name for item in request.session.items}
     one_thread = {var: "1" for var in
                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
-        with mock.patch.dict(os.environ, one_thread):  # read as workers start
-            futures = {study: pool.submit(study) for name, study in (
-                ("test_criterion_3_gaussian_rbm_benchmark", _gaussian_rbm_study),
-                ("test_criterion_5_cdcwgan_acf", _cdcwgan_study),
-                ("test_criterion_4_wgan_benchmark", _wgan_study),
-            ) if name in selected}
-        yield futures
+    pool = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn"))
+    with mock.patch.dict(os.environ, one_thread):  # read as workers start
+        futures = {study: pool.submit(study) for name, study in (
+            ("test_criterion_3_gaussian_rbm_benchmark", _gaussian_rbm_study),
+            ("test_criterion_5_cdcwgan_acf", _cdcwgan_study),
+            ("test_criterion_4_wgan_benchmark", _wgan_study),
+        ) if name in selected}
+    deadline = time.monotonic() + STUDY_TIMEOUT_S
+
+    def result(study):
+        try:
+            return futures[study].result(max(0.0, deadline - time.monotonic()))
+        except TimeoutError:
+            _stop_workers(pool)
+            raise
+
+    try:
+        yield result
+    finally:
+        if all(future.done() for future in futures.values()):
+            pool.shutdown()
+        else:
+            _stop_workers(pool)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +229,7 @@ def _gaussian_rbm_study():
 
 
 def test_criterion_3_gaussian_rbm_benchmark(studies):
-    mean_err, std_rel, corr_sim = studies[_gaussian_rbm_study].result(STUDY_TIMEOUT_S)
+    mean_err, std_rel, corr_sim = studies(_gaussian_rbm_study)
     sign_ok = (corr_sim[0, 1] < 0 and corr_sim[2, 3] > 0
                and corr_sim[0, 3] > 0 and corr_sim[1, 3] < 0)
     ok = mean_err <= 0.15 and std_rel <= 0.12 and corr_sim[0, 1] <= -0.35 and sign_ok
@@ -248,8 +278,7 @@ def _wgan_study():
 
 
 def test_criterion_4_wgan_benchmark(studies):
-    std_err, p1_err, p99_err, corr12, train_corr12 = studies[_wgan_study].result(
-        STUDY_TIMEOUT_S)
+    std_err, p1_err, p99_err, corr12, train_corr12 = studies(_wgan_study)
     ok = (std_err <= 0.15 and p1_err <= 0.6 and p99_err <= 0.6
           and abs(corr12 - train_corr12) <= 0.10)
     _report(4, ok, f"(max std err {std_err:.3f}, p1 err {p1_err:.2f}, p99 err "
@@ -313,7 +342,7 @@ def _cdcwgan_study():
 
 
 def test_criterion_5_cdcwgan_acf(studies):
-    gen_acf, train_acf = studies[_cdcwgan_study].result(STUDY_TIMEOUT_S)
+    gen_acf, train_acf = studies(_cdcwgan_study)
     ok = np.all(gen_acf > 0) and np.max(np.abs(gen_acf - train_acf)) <= 0.15
     _report(5, ok, f"(CDCWGAN ACF {np.round(gen_acf, 3)} vs training "
                    f"{np.round(train_acf, 3)})")

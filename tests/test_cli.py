@@ -413,6 +413,13 @@ BAD_INPUTS = [
     _config_case("mixture-without-weights", "simulate-data",
                  {"data": {"source": "copula", "n": 5, "correlation": [[1.0]],
                            "marginals": [MIXTURE]}}, "weights"),
+    _config_case("marginal-sigma-zero", "simulate-data",
+                 {"data": {"source": "copula", "n": 5, "correlation": [[1.0]],
+                           "marginals": [{"kind": "normal", "sigma": 0}]}}, "sigma"),
+    _config_case("marginal-without-kind", "simulate-data",
+                 {"data": {"source": "copula", "n": 5, "correlation": [[1.0]],
+                           "marginals": [{"mu": 0.0}]}}, "kind"),
+    _config_case("ar1-phi-one", "simulate-data", {"data": {**AR1, "phi": 1}}, "phi"),
     _config_case("marginals-without-correlation", "simulate-data",
                  {"data": {"source": "copula", "n": 5, "marginals": [{"kind": "normal"}]}},
                  "correlation"),

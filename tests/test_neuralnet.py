@@ -115,14 +115,17 @@ def test_leaky_relu_definition():
     assert act.apply(np.array([-2.0]))[0] == -1.0
     assert act.apply(np.array([3.0]))[0] == 3.0
     # the same bytes as the np.where definition, signed zeros, infinities,
-    # NaN and subnormals included, on both sides of alpha in (0, 1]
+    # NaN and subnormals included, for alpha in (0, 1]; other alphas rejected
     z = np.concatenate([np.random.default_rng(2).standard_normal(50) * 10,
                         [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]])
-    for alpha in (0.5, 0.2, 0.01, 1.0, 0.0, 1.5, -0.1):
+    for alpha in (0.5, 0.2, 0.01, 1.0):
         act = nn.leaky_relu(alpha)
         with np.errstate(invalid="ignore"):  # 0 * inf
             assert act.apply(z).tobytes() == np.where(z >= 0, z, alpha * z).tobytes()
         assert act.deriv(z).tobytes() == np.where(z >= 0, 1.0, alpha).tobytes()
+    for alpha in (0.0, 1.5, -0.1):
+        with pytest.raises(InvalidValue):
+            nn.leaky_relu(alpha)
 
 
 def test_conv_matches_naive_sliding_window():
