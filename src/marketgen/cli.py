@@ -236,7 +236,7 @@ DATA = {
     "d": Key(int, _min(1), default=2), "T": Key(int, _min(0), default=5000),  # ar1
     "phi": Key(float, default=0.5),  # ar1_ewma_process checks |phi| < 1
     "corr": Key(list, _SQUARE, default=lambda data: np.eye(_get(data, DATA, "d")), item=FLOATS),
-    "ewma_span": COUNT, "scale": FLOAT,
+    "ewma_span": INT, "scale": FLOAT,  # ar1_ewma_process checks ewma_span >= 1
 }
 PREPROCESS = {"transforms": Key(list, item=Key(str, _one_of(*pp.TRANSFORM_KINDS))),
               "epsilon": Key(float, _min(0)), "post_scale": Key(float, _POSITIVE)}
@@ -540,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_flag(BACKTEST["n_reps"], "backtest.n_reps"))
     p.add_argument("--config")
     p.add_argument("--seed", type=seed)
-    p.add_argument("--real-value", dest="real_value", type=float)
+    p.add_argument("--real-value", dest="real_value", type=_flag(FLOAT))
     p.add_argument("--statistic", default="mdd", choices=bt.STATISTIC_NAMES)
 
     p = command("evaluate", cmd_evaluate, "fidelity metrics real vs synthetic")

@@ -210,6 +210,9 @@ def sample_copula(spec: CopulaSpec, n: int, rng) -> SeriesFrame:
 # autocorrelated test process
 # ---------------------------------------------------------------------------
 
+_AR1_BURN_IN = 100  # recursion steps dropped before the returned series
+
+
 def ar1_ewma_process(
     d: int,
     phi: float,
@@ -218,7 +221,6 @@ def ar1_ewma_process(
     ewma_span: int = 1,
     rng=0,
     scale: float = 0.01,
-    burn_in: int = 100,
 ) -> SeriesFrame:
     """Cross-correlated AR(1) returns, optionally EWMA-smoothed.
 
@@ -230,6 +232,8 @@ def ar1_ewma_process(
     """
     if not abs(phi) < 1:
         raise UsageError("ar1_ewma_process requires |phi| < 1")
+    if ewma_span < 1:
+        raise UsageError("ewma_span must be >= 1")
     corr = np.asarray(corr, dtype=float)
     if corr.shape != (d, d):
         raise ShapeError(f"corr must be {d}x{d}")
@@ -238,13 +242,13 @@ def ar1_ewma_process(
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("innovation correlation matrix is not positive definite") from None
     rng = rng_from(rng)
-    eps = scale * (rng.standard_normal((T + burn_in, d)) @ L.T)
+    eps = scale * (rng.standard_normal((T + _AR1_BURN_IN, d)) @ L.T)
     x = np.empty_like(eps)
     x[0] = eps[0]
     for t in range(1, len(x)):
         x[t] = phi * x[t - 1] + eps[t]
     names = tuple(f"x{j + 1}" for j in range(d))
-    raw = SeriesFrame(names, x[burn_in:])
+    raw = SeriesFrame(names, x[_AR1_BURN_IN:])
     if ewma_span == 1:
         return raw
     prices = prices_from_returns(raw, np.ones(d))

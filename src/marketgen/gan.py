@@ -45,7 +45,6 @@ class GanConfig:
     batch_size: int = 500
     epochs: int = 1
     seed: int = 0
-    rmsprop_rho: float = 0.9
     non_saturating: bool = True  # minimax generator loss variant
     # exponential moving average of generator weights; adversarial training
     # orbits its equilibrium, and the time-averaged generator sits near the
@@ -253,10 +252,8 @@ def train_gan(generator: nn.LayerStack, critic: nn.LayerStack, data,
     if config.mode == "minimax":
         gen_opt = critic_opt = None
     else:
-        gen_opt = nn.RmsPropState.for_params(gen_params, config.learning_rate,
-                                             config.rmsprop_rho)
-        critic_opt = nn.RmsPropState.for_params(critic_params, config.learning_rate,
-                                                config.rmsprop_rho)
+        gen_opt = nn.RmsPropState.for_params(gen_params, config.learning_rate)
+        critic_opt = nn.RmsPropState.for_params(critic_params, config.learning_rate)
 
     traces = {"critic": [], "generator": [], "wasserstein": []}
     ema = [p.copy() for p in gen_params] if config.gen_ema > 0 else None
@@ -386,16 +383,15 @@ def build_mlp(dims, hidden_activation: nn.Activation, head_activation: nn.Activa
 
 
 def build_wgan_nets(n_x: int, config: GanConfig, rng,
-                    gen_hidden=(200, 100, 50, 25), critic_hidden=(100, 50, 10),
-                    cond_dim: int = 0):
+                    gen_hidden=(200, 100, 50, 25), critic_hidden=(100, 50, 10)):
     """Dense generator/critic pair: generator noise -> ... -> n_x with a
     sigmoid head for [0, 1] data; critic ends in a single unit (identity head
     under the gradient penalty, tanh under weight clipping)."""
     leaky = nn.leaky_relu(0.5)
-    gen = build_mlp((config.noise_dim + cond_dim,) + tuple(gen_hidden) + (n_x,),
+    gen = build_mlp((config.noise_dim,) + tuple(gen_hidden) + (n_x,),
                     leaky, nn.SIGMOID, rng)
     head = nn.TANH if config.mode == "wgan_clip" else nn.IDENTITY
-    critic = build_mlp((n_x + cond_dim,) + tuple(critic_hidden) + (1,),
+    critic = build_mlp((n_x,) + tuple(critic_hidden) + (1,),
                        leaky, head, rng)
     return gen, critic
 

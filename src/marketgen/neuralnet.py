@@ -2,14 +2,18 @@
 
 Dense, 1-D convolution and 1-D transpose convolution layers with leaky-relu,
 sigmoid, tanh or identity activations, all in 64-bit floats.  ``backward``
-returns both parameter gradients and the gradient with respect to the input,
-which lets losses flow from a critic into a generator.
+is the one reverse pass: it returns both parameter gradients and the
+gradient with respect to the input, which lets losses flow from a critic into
+a generator.  Both convolution layers run on three kernels: ``_conv`` (a
+windowed GEMM), ``_conv_weight_grad`` and ``_conv_adjoint`` (a strided
+scatter of the taps); ``TConv1d``, a convolution's adjoint, runs them swapped.
 
 ``grad_norm_penalty`` differentiates the input-gradient norm with respect to
-the parameters (double backprop).  It is exact for stacks whose activations
-are leaky-relu or identity: their derivative is piecewise constant, so the
-second derivative of the activation vanishes almost everywhere and the
-penalty gradient flows only through the weights.
+the parameters (double backprop): a linearized forward pass of the input
+gradient, then ``backward`` through that linear chain.  It is exact for
+stacks whose activations are leaky-relu or identity: their derivative is
+piecewise constant, so the second derivative of the activation vanishes
+almost everywhere and the penalty gradient flows only through the weights.
 
 Inputs are batch-major: (N, features) for dense stacks, (N, length, channels)
 for convolutional ones.  forward is pure; stacks are mutated only by the
@@ -153,10 +157,45 @@ def _pad_time(x, p):
     return x_pad
 
 
+def _crop_time(x_pad, p):
+    """Drop p positions at each end of the time axis (undoes ``_pad_time``)."""
+    return x_pad[:, p:x_pad.shape[1] - p]
+
+
+# The three convolution kernels.  With W (n_k, c_in, c_out), ``_conv`` maps a
+# padded (N, L_pad, c_in) input to z[:, l] = sum_k x_pad[:, l * stride + k] @ W[k];
+# ``_conv_weight_grad`` is its derivative in W and ``_conv_adjoint`` its
+# transpose in x_pad.  A transpose convolution is the adjoint of a
+# convolution, so TConv1d is built from the same three.
+
 def _conv_windows(x_pad, n_k, stride, out_len):
     wins = sliding_window_view(x_pad, n_k, axis=1)  # (N, Lp-n_k+1, C, n_k)
     wins = wins[:, :: stride][:, :out_len]
     return wins.transpose(0, 1, 3, 2)  # (N, out_len, n_k, C)
+
+
+def _conv(x_pad, W, stride, out_len):
+    N = x_pad.shape[0]
+    wins = _conv_windows(x_pad, W.shape[0], stride, out_len)
+    z = wins.reshape(N * out_len, -1) @ W.reshape(-1, W.shape[2])
+    return z.reshape(N, out_len, -1)
+
+
+def _conv_weight_grad(x_pad, dz, n_k, stride):
+    c_in = x_pad.shape[2]
+    wins = _conv_windows(x_pad, n_k, stride, dz.shape[1])
+    dW = wins.reshape(-1, n_k * c_in).T @ dz.reshape(-1, dz.shape[2])
+    return dW.reshape(n_k, c_in, dz.shape[2])
+
+
+def _conv_adjoint(dz, W, stride, L_pad):
+    dx_pad = np.zeros((dz.shape[0], L_pad, W.shape[1]))
+    out_len = dz.shape[1]
+    for k in range(W.shape[0]):
+        # positions k, k + stride, ... are distinct for fixed k
+        sl = slice(k, k + (out_len - 1) * stride + 1, stride)
+        dx_pad[:, sl] += dz @ W[k].T
+    return dx_pad
 
 
 @dataclass
@@ -172,34 +211,17 @@ class Conv1d:
     def lin(self, x, use_bias=True):
         if x.ndim != 3 or x.shape[2] != self.W.shape[1]:
             raise ShapeError(f"conv1d expects (N, L, {self.W.shape[1]}), got {x.shape}")
-        n_k = self.W.shape[0]
-        out_len = conv1d_out_len(x.shape[1], n_k, self.padding, self.stride)
-        x_pad = _pad_time(x, self.padding)
-        wins = _conv_windows(x_pad, n_k, self.stride, out_len)
-        N = x.shape[0]
-        z = wins.reshape(N * out_len, -1) @ self.W.reshape(-1, self.W.shape[2])
-        z = z.reshape(N, out_len, -1)
+        out_len = conv1d_out_len(x.shape[1], self.W.shape[0], self.padding, self.stride)
+        z = _conv(_pad_time(x, self.padding), self.W, self.stride, out_len)
         return (z + self.b) if use_bias else z
 
     def weight_grads(self, x_in, dz):
-        n_k = self.W.shape[0]
-        out_len = dz.shape[1]
-        x_pad = _pad_time(x_in, self.padding)
-        wins = _conv_windows(x_pad, n_k, self.stride, out_len)
-        dW = wins.reshape(-1, n_k * self.W.shape[1]).T @ dz.reshape(-1, dz.shape[2])
-        return dW.reshape(self.W.shape), dz.sum(axis=(0, 1))
+        dW = _conv_weight_grad(_pad_time(x_in, self.padding), dz, self.W.shape[0], self.stride)
+        return dW, dz.sum(axis=(0, 1))
 
     def input_grad(self, dz, x_in):
-        n_k, _, _ = self.W.shape
-        out_len = dz.shape[1]
         L_pad = x_in.shape[1] + 2 * self.padding
-        dx_pad = np.zeros((x_in.shape[0], L_pad, self.W.shape[1]))
-        for k in range(n_k):
-            # positions k, k + stride, ... are distinct for fixed k
-            sl = slice(k, k + (out_len - 1) * self.stride + 1, self.stride)
-            dx_pad[:, sl] += dz @ self.W[k].T
-        p = self.padding
-        return dx_pad[:, p:L_pad - p] if p else dx_pad
+        return _crop_time(_conv_adjoint(dz, self.W, self.stride, L_pad), self.padding)
 
     def params(self):
         return [self.W, self.b]
@@ -207,7 +229,8 @@ class Conv1d:
 
 @dataclass
 class TConv1d:
-    """1-D transpose convolution (fractionally strided up-sampling)."""
+    """1-D transpose convolution (fractionally strided up-sampling): the
+    adjoint of a Conv1d whose weights are W with each tap transposed."""
 
     W: np.ndarray  # (n_k, c_in, c_out)
     b: np.ndarray  # (c_out,)
@@ -218,45 +241,19 @@ class TConv1d:
     def lin(self, x, use_bias=True):
         if x.ndim != 3 or x.shape[2] != self.W.shape[1]:
             raise ShapeError(f"tconv1d expects (N, L, {self.W.shape[1]}), got {x.shape}")
-        n_k = self.W.shape[0]
-        L = x.shape[1]
-        out_len = tconv1d_out_len(L, n_k, self.padding, self.stride)
-        L_full = self.stride * (L - 1) + n_k
-        y = np.zeros((x.shape[0], L_full, self.W.shape[2]))
-        for k in range(n_k):
-            sl = slice(k, k + (L - 1) * self.stride + 1, self.stride)
-            y[:, sl] += x @ self.W[k]
-        p = self.padding
-        z = y[:, p:L_full - p] if p else y
-        if z.shape[1] != out_len:
-            raise ShapeError("inconsistent transpose-convolution geometry")
+        out_len = tconv1d_out_len(x.shape[1], self.W.shape[0], self.padding, self.stride)
+        y = _conv_adjoint(x, self.W.transpose(0, 2, 1), self.stride, out_len + 2 * self.padding)
+        z = _crop_time(y, self.padding)
         return (z + self.b) if use_bias else z
 
     def weight_grads(self, x_in, dz):
-        n_k = self.W.shape[0]
-        L = x_in.shape[1]
-        L_full = self.stride * (L - 1) + n_k
-        dy = np.zeros((x_in.shape[0], L_full, self.W.shape[2]))
-        p = self.padding
-        dy[:, p:L_full - p] = dz
-        dW = np.empty_like(self.W)
-        for k in range(n_k):
-            sl = slice(k, k + (L - 1) * self.stride + 1, self.stride)
-            dW[k] = np.einsum("nlc,nlo->co", x_in, dy[:, sl])
-        return dW, dz.sum(axis=(0, 1))
+        dy = _pad_time(dz, self.padding)
+        dW = _conv_weight_grad(dy, x_in, self.W.shape[0], self.stride)
+        return dW.transpose(0, 2, 1), dz.sum(axis=(0, 1))
 
     def input_grad(self, dz, x_in):
-        n_k = self.W.shape[0]
-        L = x_in.shape[1]
-        L_full = self.stride * (L - 1) + n_k
-        dy = np.zeros((x_in.shape[0], L_full, self.W.shape[2]))
-        p = self.padding
-        dy[:, p:L_full - p] = dz
-        dx = np.zeros_like(x_in)
-        for k in range(n_k):
-            sl = slice(k, k + (L - 1) * self.stride + 1, self.stride)
-            dx += dy[:, sl] @ self.W[k].T
-        return dx
+        dy = _pad_time(dz, self.padding)
+        return _conv(dy, self.W.transpose(0, 2, 1), self.stride, x_in.shape[1])
 
     def params(self):
         return [self.W, self.b]
@@ -395,31 +392,19 @@ def grad_norm_penalty(stack: LayerStack, x2) -> GradPenaltyResult:
     np.divide(2.0 * (norms - 1.0), N * norms, out=scale, where=~zero)
     u = g * scale.reshape((N,) + (1,) * (g.ndim - 1))
 
-    masks = [layer.activation.deriv(z) for layer, z in zip(stack.layers, cache.preacts)]
-
     # linearized (masked, bias-free) forward of the probe vector
     t = u
     t_inputs = []
-    for layer, mask in zip(stack.layers, masks):
+    for layer, z in zip(stack.layers, cache.preacts):
         t_inputs.append(t)
-        t = layer.lin(t, use_bias=False) * mask
+        t = layer.lin(t, use_bias=False) * layer.activation.deriv(z)
         if isinstance(layer, Dense):
             t = layer.shape_out(t)
 
-    # backward through the linearized chain; biases do not appear in it
-    grads = [None] * len(stack.layers)
-    s = np.ones((N, 1))
-    for i in reversed(range(len(stack.layers))):
-        layer = stack.layers[i]
-        if isinstance(layer, Dense):
-            s = layer.unshape_grad(s)
-        dz = s * masks[i]
-        dW, _ = layer.weight_grads(t_inputs[i], dz)
-        grads[i] = (dW, np.zeros_like(layer.b))
-        s = layer.input_grad(dz, t_inputs[i])
-    flat = []
-    for dW, db in grads:
-        flat.extend([dW, db])
+    # backward through the linearized chain, whose masks are the critic's
+    # activation derivatives at its pre-activations; biases do not appear in it
+    flat, _ = backward(stack, ForwardCache(id(stack), t_inputs, cache.preacts), np.ones((N, 1)))
+    flat[1::2] = [np.zeros_like(layer.b) for layer in stack.layers]
     return GradPenaltyResult(penalty, flat, bool(zero.any()))
 
 

@@ -112,11 +112,10 @@ class CdGradient:
     dW: np.ndarray
     dQ: np.ndarray | None = None
     dP: np.ndarray | None = None
-    dsigma: np.ndarray | None = None
 
     def norm(self) -> float:
         parts = [self.da, self.db, self.dW]
-        parts += [p for p in (self.dQ, self.dP, self.dsigma) if p is not None]
+        parts += [p for p in (self.dQ, self.dP) if p is not None]
         return float(np.sqrt(sum(float(np.sum(p * p)) for p in parts)))
 
 
@@ -324,7 +323,6 @@ def gibbs_chain(model: RbmModel, v0, k: int, rng, c=None):
 
 
 def cd_k_gradient(model: RbmModel, batch, k: int, rng, conditions=None,
-                  train_sigma: bool = False,
                   workspace: GibbsWorkspace | None = None) -> CdGradient:
     """k-step contrastive-divergence gradient estimate, averaged over a batch.
 
@@ -334,8 +332,7 @@ def cd_k_gradient(model: RbmModel, batch, k: int, rng, conditions=None,
     chain's final visible state rather than through sampled values.
 
     ``conditions`` carries the per-sample history vectors for the conditional
-    kind.  ``train_sigma`` additionally estimates the gradient for sigma; it
-    is off by default because z-scored data lets sigma stay fixed at 1.
+    kind.  Sigma is not trained: z-scored data lets it stay fixed at 1.
     ``workspace`` lets a training loop reuse buffers across batches.
     """
     batch = np.asarray(batch, dtype=float)
@@ -372,7 +369,7 @@ def cd_k_gradient(model: RbmModel, batch, k: int, rng, conditions=None,
     s2 = model.sigma ** 2
     np.divide(vis_tmp, s2, out=vis_tmp)  # (v^k - v^0) / sigma^2
     da = vis_tmp.mean(axis=0)
-    dQ = dP = dsigma = None
+    dQ = dP = None
     if model.kind == "conditional":
         dQ = c.T @ vis_tmp / N
         dP = c.T @ u / N
@@ -382,12 +379,7 @@ def cd_k_gradient(model: RbmModel, batch, k: int, rng, conditions=None,
     np.divide(batch, s2, out=scaled)
     dW -= scaled.T @ p0
     dW /= N
-    if train_sigma:
-        s3 = model.sigma ** 3
-        g0 = -((batch - a_eff) ** 2) / s3 + 2.0 * batch * (p0 @ model.W.T) / s3
-        gk = -((v_cur - a_eff) ** 2) / s3 + 2.0 * v_cur * (pk @ model.W.T) / s3
-        dsigma = (g0 - gk).mean(axis=0)
-    return CdGradient(da, db, dW, dQ=dQ, dP=dP, dsigma=dsigma)
+    return CdGradient(da, db, dW, dQ=dQ, dP=dP)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +478,7 @@ def history_vector(window: np.ndarray) -> np.ndarray:
     return window[::-1].reshape(-1)
 
 
-def train(model: RbmModel, data, config: TrainConfig, train_sigma: bool = False):
+def train(model: RbmModel, data, config: TrainConfig):
     """Mini-batch CD-k training.
 
     ``data`` must already live in the model's input domain: a bit matrix for
@@ -512,14 +504,12 @@ def train(model: RbmModel, data, config: TrainConfig, train_sigma: bool = False)
     # mutable working copy; the frozen model is rebuilt once at the end
     work = SimpleNamespace(kind=model.kind, m=model.m, n=model.n, d=model.d,
                            a=model.a.copy(), b=model.b.copy(), W=model.W.copy(),
-                           sigma=None if model.sigma is None else model.sigma.copy(),
+                           sigma=model.sigma,  # fixed: CD-k does not train it
                            Q=None if model.Q is None else model.Q.copy(),
                            P=None if model.P is None else model.P.copy())
     param_names = ["a", "b", "W"]
     if model.kind == "conditional":
         param_names += ["Q", "P"]
-    if train_sigma and model.sigma is not None:
-        param_names.append("sigma")
 
     trace = []
     N = data.shape[0]
@@ -533,8 +523,7 @@ def train(model: RbmModel, data, config: TrainConfig, train_sigma: bool = False)
             batch = data[idx]
             cond = conditions[idx] if conditions is not None else None
             grad = cd_k_gradient(work, batch, config.cd_k, rng,
-                                 conditions=cond, train_sigma=train_sigma,
-                                 workspace=ws)
+                                 conditions=cond, workspace=ws)
             work.a -= lr * grad.da
             work.b -= lr * grad.db
             work.W -= lr * grad.dW
@@ -542,20 +531,13 @@ def train(model: RbmModel, data, config: TrainConfig, train_sigma: bool = False)
                 work.Q -= lr * grad.dQ
             if grad.dP is not None:
                 work.P -= lr * grad.dP
-            if train_sigma and grad.dsigma is not None:
-                work.sigma -= lr * grad.dsigma
             if recon_err is None:  # estimate once per epoch, first batch
                 recon_err = _reconstruction_error(work, batch, cond)
         for name in param_names:
             if not np.all(np.isfinite(getattr(work, name))):
                 raise DivergedError(f"parameter {name} became non-finite", epoch)
         trace.append(recon_err)
-    updates = {name: getattr(work, name) for name in ("a", "b", "W")}
-    if model.sigma is not None:
-        updates["sigma"] = work.sigma
-    if model.kind == "conditional":
-        updates.update(Q=work.Q, P=work.P)
-    return replace(model, **updates), trace
+    return replace(model, **{name: getattr(work, name) for name in param_names}), trace
 
 
 def _reconstruction_error(model: RbmModel, batch: np.ndarray, cond) -> float:

@@ -420,6 +420,8 @@ BAD_INPUTS = [
                  {"data": {"source": "copula", "n": 5, "correlation": [[1.0]],
                            "marginals": [{"mu": 0.0}]}}, "kind"),
     _config_case("ar1-phi-one", "simulate-data", {"data": {**AR1, "phi": 1}}, "phi"),
+    _config_case("ewma-span-zero", "simulate-data", {"data": {**AR1, "ewma_span": 0}},
+                 "ewma_span"),
     _config_case("marginals-without-correlation", "simulate-data",
                  {"data": {"source": "copula", "n": 5, "marginals": [{"kind": "normal"}]}},
                  "correlation"),
@@ -441,6 +443,8 @@ BAD_INPUTS = [
                              "--out", "{out}"], "n_reps"),
     _flag_case("horizon-zero", ["mc-backtest", "--bootstrap", "{data}", "--horizon", "0",
                                 "--out", "{out}"], "horizon"),
+    _flag_case("real-value-nan", ["mc-backtest", "--bootstrap", "{data}", "--reps", "2",
+                                  "--real-value", "nan", "--out", "{out}"], "--real-value"),
     _flag_case("n-negative", ["simulate-data", "--preset", "copula-paper", "--n", "-1",
                               "--out", "{out}"], "data.n"),
     _flag_case("seed-fraction", ["simulate-data", "--preset", "copula-paper", "--seed", "1.5",

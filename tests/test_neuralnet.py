@@ -159,6 +159,30 @@ def test_tconv_matches_naive_scatter():
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
+def test_tconv_is_conv_adjoint():
+    """<conv(x), y> = <x, tconv(y)> at equal stride and padding, where the
+    transpose convolution holds the convolution's weights with each tap
+    transposed."""
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        n_k, n_s = (int(v) for v in rng.integers(1, 5, size=2))
+        n_p = int(rng.integers(0, 4))
+        L_out = int(rng.integers(1, 8))
+        L = n_s * (L_out - 1) + n_k - 2 * n_p  # so (L - n_k + 2p) % s == 0
+        if L < 1:
+            continue
+        c_in, c_out, N = (int(v) for v in rng.integers(1, 6, size=3))
+        W = rng.standard_normal((n_k, c_in, c_out))
+        conv = nn.Conv1d(W, np.zeros(c_out), n_s, n_p, nn.IDENTITY)
+        tconv = nn.TConv1d(W.transpose(0, 2, 1), np.zeros(c_in), n_s, n_p, nn.IDENTITY)
+        x = rng.standard_normal((N, L, c_in))
+        y = rng.standard_normal((N, L_out, c_out))
+        cx = conv.lin(x, use_bias=False)
+        assert cx.shape == y.shape
+        lhs, rhs = np.sum(cx * y), np.sum(x * tconv.lin(y, use_bias=False))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
 def test_forward_is_pure():
     rng = np.random.default_rng(3)
     stack = nn.LayerStack([nn.dense_layer(3, 2, nn.SIGMOID, rng)])
@@ -315,6 +339,8 @@ def test_penalty_gradients_conv_critic():
         return res.penalty, res.grads
 
     _fd_param_check(stack, x, run, tol=1e-4)
+    res = nn.grad_norm_penalty(stack, x)
+    assert all(np.all(db == 0) for db in res.grads[1::2])
 
 
 def test_penalty_zero_gradient_flagged():
