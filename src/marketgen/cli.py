@@ -218,7 +218,6 @@ def _one_of(*names):
     return (lambda x: x in names), f"one of {sorted(names)}"
 
 
-_POSITIVE = (lambda x: x > 0), "> 0"
 _SQUARE = (lambda rows: all(len(row) == len(rows) for row in rows)), "a square matrix"
 INT, FLOAT, COUNT = Key(int), Key(float), Key(int, _min(1))
 FLOATS, WIDTHS = Key(list, item=FLOAT), Key(list, item=COUNT)
@@ -239,7 +238,8 @@ DATA = {
     "ewma_span": INT, "scale": FLOAT,  # ar1_ewma_process checks ewma_span >= 1
 }
 PREPROCESS = {"transforms": Key(list, item=Key(str, _one_of(*pp.TRANSFORM_KINDS))),
-              "epsilon": Key(float, _min(0)), "post_scale": Key(float, _POSITIVE)}
+              "epsilon": Key(float, _min(0)),
+              "post_scale": FLOAT}  # preprocess.scaling_spec checks post_scale > 0
 MODEL = {
     "kind": Key(str, _one_of(*MODEL_KINDS)), "preset": Key(str, _one_of(*MODEL_PRESETS)),
     # ranges checked by rbm.TrainConfig and gan.GanConfig
@@ -337,13 +337,19 @@ def load_config(path=None, flags=None) -> dict:
 
 
 def _flag(key: Key, where: str = "value"):
-    """An argparse type that reads the flag as JSON and checks it like the
-    config key ``key``."""
+    """An argparse type that reads the flag as JSON (a float key also as a
+    Python float literal, such as ``.5``) and checks it like the config key
+    ``key``."""
     def parse(text: str):
         try:
             value = json.loads(text)
         except ValueError:
             value = text
+            if key.type is float:
+                try:
+                    value = float(text)
+                except ValueError:
+                    pass
         try:
             return _coerce(value, key, where)
         except UsageError as exc:

@@ -103,40 +103,51 @@ def _student_t_cdf(x, nu: float):
     return np.where(x >= 0, 1.0 - tail, tail)
 
 
-def marginal_quantile(spec: MarginalSpec, u: float) -> float:
-    """Quantile F^{-1}(u) of one marginal.
+def marginal_quantile(spec: MarginalSpec, u):
+    """Quantiles F^{-1}(u) of one marginal, elementwise over a scalar or array.
 
     Normal marginals use the closed form.  Student t and mixture quantiles
-    are found by bisection on the closed-form CDF, tightened until
-    |F(x) - u| <= 1e-10; one code path serves every nu > 2.
+    are found by bisection on the closed-form CDF, run on the whole array
+    with the same steps for every element: the bracket doubles out from
+    [-1, 1], and an element stops at the midpoint where |F(x) - u| <= 1e-10,
+    else at the centre of its bracket once that is narrower than
+    1e-13 * max(1, |lo|) or after 200 halvings.  Each step evaluates the CDF
+    only on the elements still running, so no element depends on the others.
+    One code path serves every nu > 2.
+
+    The tolerance is absolute in the CDF, so the far tails stop short: below
+    u of about 1e-9 (or above 1 - 1e-9) the quantile is too close to the
+    centre, e.g. -511.5 for t(4) at u = 1e-11, whose exact quantile is -740.1.
     """
-    if not 0.0 < u < 1.0:
+    u = np.asarray(u, dtype=float)
+    if not np.all((u > 0.0) & (u < 1.0)):
         raise DomainError("marginal_quantile requires 0 < u < 1")
     if spec.kind == "normal":
-        return spec.mu + spec.sigma * float(ndtri(u))
-    lo, hi = -1.0, 1.0
-    while spec.cdf(lo) > u:
-        lo *= 2.0
-    while spec.cdf(hi) < u:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f = float(spec.cdf(mid))
-        if abs(f - u) <= 1e-10:
-            return mid
-        if f < u:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, abs(lo)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def _marginal_ppf(spec: MarginalSpec, u: np.ndarray) -> np.ndarray:
-    if spec.kind == "normal":
         return spec.mu + spec.sigma * ndtri(u)
-    return np.array([marginal_quantile(spec, ui) for ui in u])
+    target = u.ravel()
+    lo, hi = np.full(target.size, -1.0), np.full(target.size, 1.0)
+    for bound, outside in ((lo, np.greater), (hi, np.less)):
+        run = np.arange(target.size)
+        while run.size:
+            run = run[outside(spec.cdf(bound[run]), target[run])]
+            bound[run] *= 2.0
+    x = np.empty(target.size)
+    hit = np.zeros(target.size, dtype=bool)
+    run = np.arange(target.size)
+    for _ in range(200):
+        if not run.size:
+            break
+        mid = 0.5 * (lo[run] + hi[run])
+        f = spec.cdf(mid)
+        close = np.abs(f - target[run]) <= 1e-10
+        x[run[close]], hit[run[close]] = mid[close], True
+        run, mid, f = run[~close], mid[~close], f[~close]
+        below = f < target[run]
+        lo[run[below]] = mid[below]
+        hi[run[~below]] = mid[~below]
+        run = run[hi[run] - lo[run] > 1e-13 * np.maximum(1.0, np.abs(lo[run]))]
+    x[~hit] = 0.5 * (lo[~hit] + hi[~hit])
+    return x.reshape(u.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +212,7 @@ def sample_copula(spec: CopulaSpec, n: int, rng) -> SeriesFrame:
     u = np.clip(u, tiny, 1.0 - 1e-16)
     cols = np.empty((n, spec.d))
     for j, marginal in enumerate(spec.marginals):
-        cols[:, j] = _marginal_ppf(marginal, u[:, j])
+        cols[:, j] = marginal_quantile(marginal, u[:, j])
     names = tuple(f"x{j + 1}" for j in range(spec.d))
     return SeriesFrame(names, cols)
 

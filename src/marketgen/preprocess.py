@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import ConstantColumn, DomainError, InvalidValue, OutOfBounds, ShapeError
+from .errors import (ConstantColumn, DomainError, InvalidValue, OutOfBounds, ShapeError,
+                     UsageError)
 from .frames import SeriesFrame
 
 TRANSFORM_KINDS = ("minmax", "zscore", "normal_score", "binarize16")
@@ -250,7 +251,7 @@ def scaling_spec(columns, factor: float) -> TransformSpec:
     signal (scaling the scores up makes that floor relatively small).
     """
     if factor <= 0:
-        raise DomainError("scaling factor must be > 0")
+        raise UsageError("post_scale (scaling factor) must be > 0")
     d = len(columns)
     return TransformSpec("zscore", tuple(columns), mean=np.zeros(d),
                          std=np.full(d, 1.0 / factor))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,30 @@ def copula_csv(tmp_path):
     assert run(["simulate-data", "--preset", "copula-paper", "--n", "400",
                 "--seed", "1", "--out", str(out)]) == 0
     return out
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _fresh_python(*args) -> str:
+    """stdout of a new interpreter run with args, importing from this tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # every command pays the CLI's import time: scipy.signal alone would add
+    # more than the import of the whole package
+    out = _fresh_python("-c", "import sys, marketgen.cli; print(sorted(m for m in "
+                        "('scipy.signal', 'scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    assert out.strip() == "[]"
+
+
+def test_copula_benchmark_demo_runs():
+    out = _fresh_python(str(ROOT / "demos" / "copula_benchmark.py"))
+    assert "per-column training statistics (n = 10000)" in out
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +242,18 @@ def test_mc_backtest_bootstrap(tmp_path):
     report = (tmp_path / "mc_report.md").read_text()
     assert "quantile of real backtest mdd" in report
     assert "bootstrap serial dependence check: destroyed" in report
+
+
+def test_mc_backtest_real_value_python_float_spellings(tmp_path):
+    data = _ar1_csv(tmp_path)
+    reports = set()
+    for i, text in enumerate(["0.5", ".5", "+0.5", "5.e-1"]):  # JSON, then Python only
+        prefix = tmp_path / f"mc{i}"
+        assert run(["mc-backtest", "--bootstrap", str(data), "--reps", "2",
+                    "--real-value", text, "--out", str(prefix)]) == 0
+        reports.add((tmp_path / f"mc{i}_report.md").read_text())
+    assert len(reports) == 1
+    assert "quantile of real backtest mdd = 0.5:" in reports.pop()
 
 
 def test_mc_backtest_requires_one_source(tmp_path):
@@ -428,6 +468,8 @@ BAD_INPUTS = [
     _config_case("learning-rate-negative", "train", {"model": {**RBM, "learning_rate": -1}},
                  "learning_rate"),
     _config_case("mode-bogus", "train", {"model": {**WGAN, "mode": "bogus"}}, "mode"),
+    _config_case("post-scale-zero", "train", {"model": RBM, "preprocess": {"post_scale": 0}},
+                 "post_scale"),
     _config_case("transform-nope", "train",
                  {"model": RBM, "preprocess": {"transforms": ["nope"]}}, "transforms"),
     _config_case("n-t-zero", "train", {"model": {"kind": "cdcwgan", "epochs": 0, "n_t": 0}},
@@ -445,6 +487,8 @@ BAD_INPUTS = [
                                 "--out", "{out}"], "horizon"),
     _flag_case("real-value-nan", ["mc-backtest", "--bootstrap", "{data}", "--reps", "2",
                                   "--real-value", "nan", "--out", "{out}"], "--real-value"),
+    _flag_case("real-value-inf", ["mc-backtest", "--bootstrap", "{data}", "--reps", "2",
+                                  "--real-value", "inf", "--out", "{out}"], "--real-value"),
     _flag_case("n-negative", ["simulate-data", "--preset", "copula-paper", "--n", "-1",
                               "--out", "{out}"], "data.n"),
     _flag_case("seed-fraction", ["simulate-data", "--preset", "copula-paper", "--seed", "1.5",

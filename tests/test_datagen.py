@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.special import ndtr
 
 from marketgen import datagen as dg
 from marketgen.errors import DomainError, NotPositiveDefinite
@@ -120,3 +121,49 @@ def test_stream_reproducible():
     a = dg.RngStream(8, 3).generator().standard_normal(10)
     b = dg.RngStream(8, 3).generator().standard_normal(10)
     np.testing.assert_array_equal(a, b)
+
+
+def _scalar_quantile(spec, u):
+    """The per-element bisection marginal_quantile replaced, as the oracle."""
+    lo, hi = -1.0, 1.0
+    while spec.cdf(lo) > u:
+        lo *= 2.0
+    while spec.cdf(hi) < u:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f = float(spec.cdf(mid))
+        if abs(f - u) <= 1e-10:
+            return mid
+        if f < u:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * max(1.0, abs(lo)):
+            break
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("j", [0, 1], ids=["mixture", "student_t"])
+def test_marginal_quantile_array_equals_scalar_bisection(j):
+    # 2,000 copula draws of column j as sample_copula clips them, then the
+    # edge values of that clip and of the tolerance
+    spec = dg.benchmark_copula_spec()
+    z = dg.RngStream(5, 0).generator().standard_normal((2000, spec.d)) @ spec.cholesky().T
+    tiny = np.finfo(float).tiny
+    u = np.concatenate([np.clip(ndtr(z[:, j]), tiny, 1.0 - 1e-16),
+                        [tiny, 1e-300, 1e-17, 1e-10, 0.5, 1.0 - 2e-16, 1.0 - 1e-16]])
+    marginal = spec.marginals[j]
+    got = dg.marginal_quantile(marginal, u)
+    want = np.array([_scalar_quantile(marginal, ui) for ui in u])
+    assert np.array_equal(got, want)
+    # batch independence: a slice alone gives that slice of the whole
+    np.testing.assert_array_equal(dg.marginal_quantile(marginal, u[123:456]), got[123:456])
+    np.testing.assert_array_equal(dg.marginal_quantile(marginal, u[::-1]), got[::-1])
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0])
+def test_marginal_quantile_array_domain(bad):
+    for marginal in dg.benchmark_copula_spec().marginals[:3]:
+        with pytest.raises(DomainError):
+            dg.marginal_quantile(marginal, np.array([0.2, bad, 0.7]))
